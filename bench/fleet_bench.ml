@@ -1,13 +1,15 @@
 (* Wall-time benchmark for the fleet simulation service (wn.fleet).
 
-   Simulates a >= 10k-unit fleet through the streaming aggregator,
-   checks on a smaller fleet that the report stays byte-identical
-   across --jobs (the service's core guarantee), and persists the
-   wall time and throughput to BENCH_fleet.json in the wn-bench/1
-   shape, so successive commits leave a comparable trajectory.
+   Simulates a 10k-unit fleet of [Fleet.default] devices (MatAdd,
+   8-bit, Clank, each on its own RF trace and 10 uF capacitor) through
+   the streaming aggregator, checks on a smaller fleet that the report
+   stays byte-identical across --jobs (the service's core guarantee),
+   and persists the wall time and throughput to BENCH_fleet.json in the
+   wn-bench/1 shape, so successive commits leave a comparable
+   trajectory.
 
    Usage:
-     dune exec bench/fleet_bench.exe                   # 10k-unit Var fleet
+     dune exec bench/fleet_bench.exe                   # 10k-unit MatAdd fleet
      dune exec bench/fleet_bench.exe -- --devices 2000
      dune exec bench/fleet_bench.exe -- --jobs 4
      dune exec bench/fleet_bench.exe -- --bench-json F *)

@@ -45,6 +45,33 @@ val drain : t -> float -> unit
 val harvest : t -> float -> unit
 (** Add joules, clamped at [v_max].  May switch [is_on] on. *)
 
+val burst :
+  t -> cycles:int -> power:float -> clock_hz:float -> cycle_energy:float -> bool
+(** One core burst of [cycles] cycles: harvest [power] watts over them
+    at [clock_hz], then drain [cycles *. cycle_energy] joules — exactly
+    [harvest] followed by [drain], float for float.  Returns [is_on].
+    Allocation-free when the float arguments are already-boxed values
+    (record fields), which is how {!Supply} calls it. *)
+
+val burst_run :
+  t ->
+  int array ->
+  int ->
+  int ->
+  power:float ->
+  clock_hz:float ->
+  cycle_energy:float ->
+  int
+(** [burst_run t costs i j ~power ~clock_hz ~cycle_energy] runs
+    {!burst} on [costs.(i)], ..., [costs.(j - 1)] in order, all at the
+    same harvest [power], and returns how many of those bursts left the
+    capacitor off; none when [j <= i].  Raises [Invalid_argument]
+    unless [0 <= i] and [j <= Array.length costs]. *)
+
+val covers : t -> cycles:int -> cycle_energy:float -> bool
+(** [usable_energy t >= float_of_int cycles *. cycle_energy], without
+    boxing the usable energy. *)
+
 val set_empty : t -> unit
 (** Discharge to [v_off] (device just browned out). *)
 

@@ -172,7 +172,6 @@ let consume t ~cycles =
   let start = t.cycles in
   let finish = start + cycles in
   t.cycles <- finish;
-  let joules = float_of_int cycles *. t.cycle_energy in
   t.consumed_cycles <- t.consumed_cycles + cycles;
   (match t.script with
   | c :: _ when c <= finish ->
@@ -188,20 +187,20 @@ let consume t ~cycles =
   | _ -> ());
   if t.infinite then not t.forced_off
   else begin
-    let inflow =
+    let on =
       if start >= t.tick_base && finish <= t.tick_end then
-        (* Whole burst inside the cached tick: single multiply-add,
+        (* Whole burst inside the cached tick: the capacitor's kernel,
            bit-identical to the one-segment integration (0.0 +. x = x). *)
-        t.tick_power *. (float_of_int cycles /. t.clock_hz)
+        Capacitor.burst t.capacitor ~cycles ~power:t.tick_power
+          ~clock_hz:t.clock_hz ~cycle_energy:t.cycle_energy
       else begin
-        let v = harvest_spanning t ~start ~finish in
+        let inflow = harvest_spanning t ~start ~finish in
         refresh_tick_cache t;
-        v
+        Capacitor.harvest t.capacitor inflow;
+        Capacitor.drain t.capacitor (float_of_int cycles *. t.cycle_energy);
+        Capacitor.is_on t.capacitor
       end
     in
-    Capacitor.harvest t.capacitor inflow;
-    Capacitor.drain t.capacitor joules;
-    let on = Capacitor.is_on t.capacitor in
     if not on then t.outage_count <- t.outage_count + 1;
     on
   end
@@ -262,8 +261,8 @@ let assured t ~cycles =
   (not t.forced_off)
   && (match t.script with [] -> true | c :: _ -> c > t.cycles + cycles)
   && (t.infinite
-     || Capacitor.usable_energy t.capacitor
-        >= float_of_int (cycles + assured_margin_cycles) *. t.cycle_energy)
+     || Capacitor.covers t.capacitor ~cycles:(cycles + assured_margin_cycles)
+          ~cycle_energy:t.cycle_energy)
 
 let consume_run t ~costs =
   if t.infinite then begin
@@ -278,12 +277,41 @@ let consume_run t ~costs =
     consume t ~cycles:!total
   end
   else begin
-    (* Capacitor-backed: replay the exact per-instruction call sequence
-       so harvest/drain interleaving (and its float rounding) is
-       bit-identical to per-step execution. *)
+    (* Capacitor-backed (never scripted): each maximal stretch of costs
+       that ends inside the cached tick is one kernel call, which runs
+       the per-cost harvest/drain sequence [consume] would; a cost that
+       crosses the tick edge goes through [consume] itself. *)
+    let n = Array.length costs in
     let on = ref true in
-    for i = 0 to Array.length costs - 1 do
-      on := consume t ~cycles:(Array.unsafe_get costs i)
+    let i = ref 0 in
+    while !i < n do
+      let start = t.cycles in
+      let j = ref !i in
+      let finish = ref start in
+      if start >= t.tick_base then
+        while
+          !j < n
+          &&
+          let c = Array.unsafe_get costs !j in
+          c >= 0 && !finish + c <= t.tick_end
+        do
+          finish := !finish + Array.unsafe_get costs !j;
+          incr j
+        done;
+      if !j = !i then begin
+        on := consume t ~cycles:(Array.unsafe_get costs !i);
+        incr i
+      end
+      else begin
+        t.cycles <- !finish;
+        t.consumed_cycles <- t.consumed_cycles + (!finish - start);
+        t.outage_count <-
+          t.outage_count
+          + Capacitor.burst_run t.capacitor costs !i !j ~power:t.tick_power
+              ~clock_hz:t.clock_hz ~cycle_energy:t.cycle_energy;
+        on := Capacitor.is_on t.capacitor;
+        i := !j
+      end
     done;
     !on
   end

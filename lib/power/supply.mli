@@ -79,14 +79,19 @@ val wait_for_power : t -> int
 
 val consume_run : t -> costs:int array -> bool
 (** Consume a whole fused run, [costs] holding each instruction's
-    latency in order.  Observably identical to calling {!consume} once
-    per cost left to right — on a capacitor-backed supply it *is* that
-    call sequence (so harvest/drain float rounding matches per-step
-    execution bit for bit), on an energy-unconstrained supply it
-    collapses to one batched call.  Returns the last consume's power
-    state.  Intended to run under an {!assured} guard; if power dies
-    mid-run anyway, the remaining costs are still consumed (the outage
-    surfaces at the run boundary). *)
+    latency in order.  Observably identical, bit for bit, to calling
+    {!consume} once per cost left to right.  On an energy-unconstrained
+    supply it collapses to one batched call.  On a capacitor-backed
+    supply each longest stretch of costs that ends inside the cached
+    trace tick is one call to the capacitor's burst kernel
+    ({!Capacitor.burst_run}), which performs each cost's harvest and
+    drain with the same float operations in the same order as
+    {!consume}; a cost that crosses a tick edge goes through {!consume}
+    itself.  Outages are counted per cost, as the call sequence would.
+    Returns the power state after the last cost.  Intended to run under
+    an {!assured} guard; if power dies mid-run anyway, the remaining
+    costs are still consumed (the outage surfaces at the run boundary).
+    Allocation-free except at a tick edge. *)
 
 val never_cuts : t -> bool
 (** True when this supply can never brown out on its own: energy
@@ -102,7 +107,8 @@ val assured : t -> cycles:int -> bool
     16-cycle margin for float rounding, before counting any harvest
     inflow)?  A [false] answer does not mean power will die, only that
     it cannot be promised; harvest income during the window is ignored,
-    which is sound because it only adds. *)
+    which is sound because it only adds.  The capacitor test is
+    {!Capacitor.covers}, so the guard allocates nothing. *)
 
 val outages : t -> int
 (** Number of brown-outs observed so far. *)

@@ -388,6 +388,43 @@ let test_step_block_no_alloc () =
       "step_block allocated %.0f minor words over 10k dispatches" allocated;
   if Machine.halted m then Alcotest.fail "probe program halted inside window"
 
+(* The capacitor-backed supply's per-instruction calls must not
+   allocate either.  The clock is fast enough that the whole window
+   stays inside one trace tick: re-anchoring the cached tick at a tick
+   edge reads a boxed power sample, once per tick rather than per
+   instruction. *)
+let test_supply_no_alloc () =
+  let trace = Wn_power.Trace.rf_burst ~seed:3 ~duration_s:1.0 () in
+  let supply =
+    Wn_power.Supply.create ~clock_hz:24e9 ~cycle_energy:1e-13 ~trace
+      ~capacitor:(Wn_power.Capacitor.create ()) ()
+  in
+  let costs = [| 1; 2; 16; 1; 3; 1; 16; 1 |] in
+  let calls () =
+    for _ = 1 to 10_000 do
+      ignore (Wn_power.Supply.consume supply ~cycles:16);
+      ignore (Wn_power.Supply.consume_run supply ~costs);
+      ignore (Wn_power.Supply.assured supply ~cycles:41)
+    done
+  in
+  calls ();
+  let a = Gc.minor_words () in
+  let b = Gc.minor_words () in
+  let baseline = b -. a in
+  let w0 = Gc.minor_words () in
+  calls ();
+  let w1 = Gc.minor_words () in
+  let allocated = w1 -. w0 -. baseline in
+  if allocated <> 0.0 then
+    Alcotest.failf
+      "capacitor supply allocated %.0f minor words over 10k consume, \
+       consume_run and assured calls"
+      allocated;
+  if Wn_power.Supply.now_cycles supply >= 24_000_000 then
+    Alcotest.fail "measured window crossed a trace tick";
+  if not (Wn_power.Supply.is_on supply) then
+    Alcotest.fail "supply browned out inside the window"
+
 let () =
   let lockstep_cases =
     List.concat_map
@@ -456,5 +493,7 @@ let () =
             test_step_fast_no_alloc;
           Alcotest.test_case "step_block allocation-free" `Quick
             test_step_block_no_alloc;
+          Alcotest.test_case "capacitor supply allocation-free" `Quick
+            test_supply_no_alloc;
         ] );
     ]

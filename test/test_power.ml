@@ -276,6 +276,319 @@ let test_burst_length_calibration () =
   if !cycles < 10_000 || !cycles > 100_000 then
     Alcotest.failf "burst of %d cycles is outside the paper's regime" !cycles
 
+(* ---------------- bit-exactness against the sqrt-based model ---------------- *)
+
+(* A test-local copy of the original capacitor (latch decided by
+   comparing [sqrt (2s/C)] against the thresholds) and of the original
+   capacitor-backed supply, whose [consume_run] is one [consume] per
+   cost.  The production path must match it bit for bit. *)
+module Ref = struct
+  type cap = {
+    capacitance : float;
+    v_on : float;
+    v_off : float;
+    v_max : float;
+    mutable stored : float;
+    mutable on : bool;
+  }
+
+  let energy_at c v = 0.5 *. c *. v *. v
+
+  let create_cap ~capacitance =
+    let v_on = 2.3 and v_off = 1.8 and v_max = 2.5 in
+    {
+      capacitance;
+      v_on;
+      v_off;
+      v_max;
+      stored = energy_at capacitance v_max;
+      on = true;
+    }
+
+  let voltage c = sqrt (2.0 *. c.stored /. c.capacitance)
+
+  let update_state c =
+    let v = voltage c in
+    if c.on && v < c.v_off then c.on <- false
+    else if (not c.on) && v >= c.v_on then c.on <- true
+
+  let drain c joules =
+    c.stored <- Float.max 0.0 (c.stored -. joules);
+    update_state c
+
+  let harvest c joules =
+    c.stored <- Float.min (energy_at c.capacitance c.v_max) (c.stored +. joules);
+    update_state c
+
+  type supply = {
+    clock_hz : float;
+    cycle_energy : float;
+    trace : Trace.t;
+    cap : cap;
+    per_tick : int;
+    mutable cycles : int;
+    mutable outages : int;
+    mutable consumed : int;
+    mutable tick_base : int;
+    mutable tick_end : int;
+    mutable tick_power : float;
+  }
+
+  let refresh s =
+    let tick = s.cycles / s.per_tick in
+    s.tick_base <- tick * s.per_tick;
+    s.tick_end <- s.tick_base + s.per_tick;
+    s.tick_power <- Trace.power_at_tick s.trace tick
+
+  let create ~clock_hz ~cycle_energy ~trace ~capacitance =
+    let s =
+      {
+        clock_hz;
+        cycle_energy;
+        trace;
+        cap = create_cap ~capacitance;
+        per_tick =
+          int_of_float (Float.round (clock_hz *. Trace.sample_period_s));
+        cycles = 0;
+        outages = 0;
+        consumed = 0;
+        tick_base = 0;
+        tick_end = 0;
+        tick_power = 0.0;
+      }
+    in
+    refresh s;
+    s
+
+  let harvest_spanning s ~start ~finish =
+    let pos = ref start and acc = ref 0.0 in
+    while !pos < finish do
+      let tick = !pos / s.per_tick in
+      let seg_end = min finish ((tick + 1) * s.per_tick) in
+      acc :=
+        !acc
+        +. Trace.power_at_tick s.trace tick
+           *. (float_of_int (seg_end - !pos) /. s.clock_hz);
+      pos := seg_end
+    done;
+    !acc
+
+  let consume s ~cycles =
+    let start = s.cycles in
+    let finish = start + cycles in
+    s.cycles <- finish;
+    let joules = float_of_int cycles *. s.cycle_energy in
+    s.consumed <- s.consumed + cycles;
+    let inflow =
+      if start >= s.tick_base && finish <= s.tick_end then
+        s.tick_power *. (float_of_int cycles /. s.clock_hz)
+      else begin
+        let v = harvest_spanning s ~start ~finish in
+        refresh s;
+        v
+      end
+    in
+    harvest s.cap inflow;
+    drain s.cap joules;
+    if not s.cap.on then s.outages <- s.outages + 1;
+    s.cap.on
+
+  let consume_run s ~costs =
+    let on = ref true in
+    Array.iter (fun c -> on := consume s ~cycles:c) costs;
+    !on
+
+  let wait_for_power s =
+    let start = s.cycles in
+    while not s.cap.on do
+      let tick = s.cycles / s.per_tick in
+      let boundary = (tick + 1) * s.per_tick in
+      harvest s.cap
+        (Trace.power_at_tick s.trace tick
+        *. (float_of_int (boundary - s.cycles) /. s.clock_hz));
+      s.cycles <- boundary
+    done;
+    refresh s;
+    s.cycles - start
+end
+
+let bits = Int64.bits_of_float
+
+let check_same ctx ~cap ~supply (r : Ref.supply) =
+  if bits (Capacitor.energy cap) <> bits r.cap.stored then
+    Alcotest.failf "%s: stored energy %h, reference %h" ctx
+      (Capacitor.energy cap) r.cap.stored;
+  if Capacitor.is_on cap <> r.cap.on then Alcotest.failf "%s: latch differs" ctx;
+  if Supply.now_cycles supply <> r.cycles then
+    Alcotest.failf "%s: clock %d, reference %d" ctx (Supply.now_cycles supply)
+      r.cycles;
+  if Supply.outages supply <> r.outages then
+    Alcotest.failf "%s: %d outages, reference %d" ctx (Supply.outages supply)
+      r.outages;
+  if
+    bits (Supply.energy_consumed supply)
+    <> bits (float_of_int r.consumed *. r.cycle_energy)
+  then Alcotest.failf "%s: consumed energy differs" ctx
+
+(* One scenario: a random interleaving of single consumes and fused
+   runs on a capacitor-backed supply, checked against the reference
+   after every call.  [cost] draws one instruction latency. *)
+let lockstep_scenario ~name ~capacitance ~cycle_energy ~trace ~cost ~max_run
+    ~calls ~seed () =
+  let rng = Wn_util.Rng.create seed in
+  let clock_hz = Supply.default_clock_hz in
+  let cap = Capacitor.create ~capacitance () in
+  let supply = Supply.create ~cycle_energy ~trace ~capacitor:cap () in
+  let r = Ref.create ~clock_hz ~cycle_energy ~trace ~capacitance in
+  check_same (name ^ " at create") ~cap ~supply r;
+  let mid_run_outages = ref 0 in
+  for call = 1 to calls do
+    let ctx = Printf.sprintf "%s call %d" name call in
+    (if Wn_util.Rng.int rng 3 = 0 then begin
+       let cycles = cost rng in
+       let on = Supply.consume supply ~cycles in
+       if on <> Ref.consume r ~cycles then Alcotest.failf "%s: consume verdict" ctx
+     end
+     else begin
+       let costs = Array.init (1 + Wn_util.Rng.int rng max_run) (fun _ -> cost rng) in
+       let before = Supply.outages supply in
+       let on = Supply.consume_run supply ~costs in
+       if Supply.outages supply - before > 1 then incr mid_run_outages;
+       if on <> Ref.consume_run r ~costs then
+         Alcotest.failf "%s: consume_run verdict" ctx
+     end);
+    check_same ctx ~cap ~supply r;
+    (* Sometimes keep computing while off (the rest of a run after a
+       mid-run brown-out), otherwise recharge like the executor. *)
+    if (not (Supply.is_on supply)) && Wn_util.Rng.int rng 4 <> 0 then begin
+      let waited = Supply.wait_for_power supply in
+      if waited <> Ref.wait_for_power r then Alcotest.failf "%s: wait differs" ctx;
+      check_same (ctx ^ " after wait") ~cap ~supply r
+    end
+  done;
+  !mid_run_outages
+
+let mixed_cost rng =
+  match Wn_util.Rng.int rng 8 with
+  | 0 -> 16 (* iterative MUL *)
+  | 1 -> 2
+  | 2 -> 3
+  | 3 -> 1 + Wn_util.Rng.int rng 40
+  | _ -> 1
+
+let test_lockstep_reference () =
+  let rf = Trace.rf_burst ~seed:5 ~duration_s:2.0 () in
+  let square = Trace.square ~on_ms:1 ~off_ms:2 ~power:3e-3 ~duration_s:0.5 in
+  let strong = Trace.constant ~power:5e-2 ~duration_s:0.1 in
+  let weak = Trace.square ~on_ms:1 ~off_ms:3 ~power:2e-3 ~duration_s:0.2 in
+  List.iter
+    (fun capacitance ->
+      let c = Printf.sprintf "%gF" capacitance in
+      (* Default energy on bursty RF: runs straddle tick edges and the
+         capacitor browns out and recovers. *)
+      ignore
+        (lockstep_scenario ~name:("rf " ^ c) ~capacitance ~cycle_energy:1e-9
+           ~trace:rf ~cost:mixed_cost ~max_run:64 ~calls:3_000 ~seed:1 ());
+      (* Long runs on a square wave: many runs span a 24k-cycle tick. *)
+      ignore
+        (lockstep_scenario ~name:("square " ^ c) ~capacitance
+           ~cycle_energy:2e-10 ~trace:square
+           ~cost:(fun rng -> 1 + Wn_util.Rng.int rng 600)
+           ~max_run:64 ~calls:2_000 ~seed:2 ());
+      (* Harvest far above drain: the capacitor sits at the v_max clamp. *)
+      ignore
+        (lockstep_scenario ~name:("clamped " ^ c) ~capacitance
+           ~cycle_energy:1e-10 ~trace:strong ~cost:mixed_cost ~max_run:32
+           ~calls:2_000 ~seed:3 ());
+      (* Weak harvest and a heavy drain: runs brown out part-way
+         through, and the remaining costs drain an already-off
+         capacitor. *)
+      let mid_run =
+        lockstep_scenario ~name:("brown-out " ^ c) ~capacitance
+          ~cycle_energy:(capacitance *. 2e-4) ~trace:weak ~cost:mixed_cost
+          ~max_run:64 ~calls:1_000 ~seed:4 ()
+      in
+      if mid_run = 0 then Alcotest.failf "brown-out %s: no run browned out mid-run" c)
+    [ 10e-6; 1e-6; 2e-6; 0.01e-6 ]
+
+(* The run that browns out part-way must count one outage per cost
+   that leaves the capacitor off, exactly as per-cost consumes do. *)
+let test_mid_run_outages () =
+  let trace = Trace.constant ~power:0.0 ~duration_s:0.1 in
+  let cap = Capacitor.create () in
+  let supply = Supply.create ~trace ~capacitor:cap () in
+  let r =
+    Ref.create ~clock_hz:Supply.default_clock_hz
+      ~cycle_energy:Supply.default_cycle_energy ~trace ~capacitance:10e-6
+  in
+  (* ~15k cycles of charge: 1k MULs run well past brown-out. *)
+  let costs = Array.make 1_000 16 in
+  let on = Supply.consume_run supply ~costs in
+  Alcotest.(check bool) "off at run end" false on;
+  Alcotest.(check bool) "reference agrees" (Ref.consume_run r ~costs) on;
+  check_same "mid-run" ~cap ~supply r;
+  if Supply.outages supply < 2 then
+    Alcotest.failf "expected per-cost outages, got %d" (Supply.outages supply)
+
+(* The seed's latch decisions as predicates on stored energy. *)
+let seed_voltage ~capacitance s = sqrt (2.0 *. s /. capacitance)
+
+(* Least float [s >= 0] with [seed_voltage s >= v], by bisection over
+   the ordered bit patterns of non-negative floats. *)
+let seed_threshold ~capacitance v =
+  let lo = ref 0L and hi = ref (Int64.bits_of_float (capacitance *. v *. v)) in
+  while Int64.sub !hi !lo > 1L do
+    let mid = Int64.add !lo (Int64.div (Int64.sub !hi !lo) 2L) in
+    if seed_voltage ~capacitance (Int64.float_of_bits mid) >= v then hi := mid
+    else lo := mid
+  done;
+  Int64.float_of_bits !hi
+
+let test_threshold_neighbours () =
+  List.iter
+    (fun capacitance ->
+      let e_max = 0.5 *. capacitance *. 2.5 *. 2.5 in
+      let e_off = seed_threshold ~capacitance 1.8 in
+      let e_on = seed_threshold ~capacitance 2.3 in
+      if seed_voltage ~capacitance (Float.pred e_off) >= 1.8 then
+        Alcotest.fail "bisection missed the v_off threshold";
+      List.iter
+        (fun s ->
+          let ctx = Printf.sprintf "C=%g s=%h" capacitance s in
+          (* Brown-out: from full charge, drain to exactly [s] while on.
+             The subtraction is exact (Sterbenz: s >= e_max / 2). *)
+          let cap = Capacitor.create ~capacitance () in
+          Capacitor.drain cap (e_max -. s);
+          if bits (Capacitor.energy cap) <> bits s then
+            Alcotest.failf "%s: could not place stored energy" ctx;
+          Alcotest.(check bool)
+            (ctx ^ " brown-out latch")
+            (not (seed_voltage ~capacitance s < 1.8))
+            (Capacitor.is_on cap);
+          (* Turn-on: from empty and off, harvest exactly [s]. *)
+          let cap = Capacitor.create ~capacitance () in
+          Capacitor.drain cap e_max;
+          Capacitor.harvest cap s;
+          Alcotest.(check bool)
+            (ctx ^ " turn-on latch")
+            (seed_voltage ~capacitance s >= 2.3)
+            (Capacitor.is_on cap);
+          (* [covers] agrees with the boxed usable energy. *)
+          List.iter
+            (fun cycles ->
+              Alcotest.(check bool)
+                (ctx ^ " covers")
+                (Capacitor.usable_energy cap
+                >= float_of_int cycles *. Supply.default_cycle_energy)
+                (Capacitor.covers cap ~cycles
+                   ~cycle_energy:Supply.default_cycle_energy))
+            [ 0; 1; 1_000; 100_000 ])
+        [
+          Float.pred e_off; e_off; Float.succ e_off;
+          Float.pred e_on; e_on; Float.succ e_on;
+        ])
+    [ 10e-6; 1e-6; 2e-6; 0.01e-6 ]
+
 let () =
   Alcotest.run "wn.power"
     [
@@ -307,5 +620,13 @@ let () =
           Alcotest.test_case "cut on capacitor supply" `Quick
             test_supply_cut_capacitor_backed;
           Alcotest.test_case "burst calibration" `Quick test_burst_length_calibration;
+        ] );
+      ( "bit-exact",
+        [
+          Alcotest.test_case "lockstep with sqrt reference" `Quick
+            test_lockstep_reference;
+          Alcotest.test_case "mid-run brown-out" `Quick test_mid_run_outages;
+          Alcotest.test_case "threshold neighbours" `Quick
+            test_threshold_neighbours;
         ] );
     ]
