@@ -166,6 +166,15 @@ let micro_tests scale =
       (Wn_compiler.Compile.compile_source ~options:Wn_compiler.Compile.anytime
          (var.Workload.source cfg8))
   in
+  (* table1, largest build: Home at 4-bit anytime (about 1.6k
+     instructions, 17 loops), where the compile's per-pass lints and
+     forward-progress self-check cost the most. *)
+  let home = Suite.find scale "Home" in
+  let compile_home_4bit () =
+    ignore
+      (Wn_compiler.Compile.compile_source ~options:Wn_compiler.Compile.anytime
+         (home.Workload.source { Workload.bits = 4; provisioned = true }))
+  in
   (* fig14: subword-major encode of a MatAdd-sized input. *)
   let layout =
     Wn_compiler.Layout.subword_major ~elem_bits:32 ~signed:false ~bits:8
@@ -186,6 +195,7 @@ let micro_tests scale =
   let block = Wn_runtime.Executor.Block in
   [
     Test.make ~name:"table1:compile_var_kernel" (Staged.stage compile_kernel);
+    Test.make ~name:"table1:compile_home_4bit" (Staged.stage compile_home_4bit);
     Test.make ~name:"fig9:simulate_1k_instructions[engine=fast]"
       (Staged.stage step_machine);
     Test.make ~name:"fig9:simulate_1k_instructions[engine=block]"

@@ -15,6 +15,8 @@ type t = {
   skims : (int * int) list;
   falls_off : int list;
   dom : IntSet.t array;  (** per block: the blocks dominating it *)
+  loops : (int * int list) list;
+  loops_of : int list array;
 }
 
 (* Intraprocedural successors of the instruction at [pc]: branches
@@ -34,6 +36,59 @@ let raw_succs program pc =
 let ends_block = function
   | Instr.B _ | Instr.Bl _ | Instr.Bx_lr | Instr.Halt -> true
   | _ -> false
+
+(* Natural loops.  Back edge: block b -> header h with h dominating b;
+   the loop is h plus every block that reaches b without passing h,
+   merged over all back edges to h (a walk that meets a block already
+   in the body stops there: its other predecessors are in already).
+   Blocks are in address order, so walking headers and members by
+   block index yields both in pc order.  Every pc of a block lies in
+   the same loops, so the pcs of one block share one header list. *)
+let natural_loops blocks block_of succ pred dom =
+  let nb = Array.length blocks in
+  let bodies = Array.make nb None in
+  for b = 0 to nb - 1 do
+    List.iter
+      (fun h ->
+        if IntSet.mem h dom.(b) then begin
+          let body =
+            match bodies.(h) with
+            | Some body -> body
+            | None ->
+                let body = Array.make nb false in
+                body.(h) <- true;
+                bodies.(h) <- Some body;
+                body
+          in
+          let rec up x =
+            if not body.(x) then begin
+              body.(x) <- true;
+              List.iter up pred.(x)
+            end
+          in
+          up b
+        end)
+      succ.(b)
+  done;
+  let loops = ref [] in
+  let block_loops = Array.make nb [] in
+  for h = nb - 1 downto 0 do
+    match bodies.(h) with
+    | None -> ()
+    | Some body ->
+        let header = blocks.(h).first in
+        let pcs = ref [] in
+        for bi = nb - 1 downto 0 do
+          if body.(bi) then begin
+            block_loops.(bi) <- header :: block_loops.(bi);
+            for pc = blocks.(bi).last downto blocks.(bi).first do
+              pcs := pc :: !pcs
+            done
+          end
+        done;
+        loops := (header, !pcs) :: !loops
+  done;
+  (!loops, Array.map (fun bi -> block_loops.(bi)) block_of)
 
 let build program =
   let n = Array.length program in
@@ -158,6 +213,7 @@ let build program =
         done
       end)
     entries;
+  let loops, loops_of = natural_loops blocks block_of succ pred dom in
   {
     program;
     blocks;
@@ -170,6 +226,8 @@ let build program =
     skims = List.rev !skims;
     falls_off = List.rev !falls_off;
     dom;
+    loops;
+    loops_of;
   }
 
 let instr_succs t pc =
@@ -184,50 +242,10 @@ let dominates t a b =
     let ba = t.block_of.(a) and bb = t.block_of.(b) in
     if ba = bb then a <= b else IntSet.mem ba t.dom.(bb)
 
-let loops t =
-  (* Back edge: block b -> header h with h dominating b; the natural
-     loop is h plus everything that reaches b without passing h. *)
-  let nb = Array.length t.blocks in
-  let tbl = Hashtbl.create 8 in
-  for b = 0 to nb - 1 do
-    List.iter
-      (fun h ->
-        if IntSet.mem h t.dom.(b) then begin
-          (* collect the loop body for back edge b -> h *)
-          let body = Hashtbl.create 8 in
-          Hashtbl.replace body h ();
-          let rec up x =
-            if not (Hashtbl.mem body x) then begin
-              Hashtbl.replace body x ();
-              List.iter up t.pred.(x)
-            end
-          in
-          up b;
-          let members =
-            Hashtbl.fold (fun bi () acc -> bi :: acc) body []
-          in
-          let header_pc = t.blocks.(h).first in
-          let existing =
-            Option.value ~default:[] (Hashtbl.find_opt tbl header_pc)
-          in
-          Hashtbl.replace tbl header_pc (members @ existing)
-        end)
-      t.succ.(b)
-  done;
-  Hashtbl.fold
-    (fun header members acc ->
-      let pcs =
-        List.sort_uniq Int.compare members
-        |> List.concat_map (fun bi ->
-               let b = t.blocks.(bi) in
-               List.init (b.last - b.first + 1) (fun i -> b.first + i))
-      in
-      (header, pcs) :: acc)
-    tbl []
-  |> List.sort Stdlib.compare
+let loops t = t.loops
 
 let in_loop t pc =
-  List.exists (fun (_, pcs) -> List.mem pc pcs) (loops t)
+  pc >= 0 && pc < Array.length t.loops_of && t.loops_of.(pc) <> []
 
 let reachable_between t ~src ~stop =
   let seen = Hashtbl.create 32 in

@@ -36,9 +36,19 @@ type t = {
       (** pcs whose fall-through successor would run past the end of
           the program *)
   dom : IntSet.t array;  (** per block: the block indices dominating it *)
+  loops : (int * int list) list;
+      (** natural loops as [(header pc, member pcs)], built once by
+          {!build}: one entry per back-edge target, members merged
+          over all back edges to that header; sorted by header pc,
+          member pcs ascending *)
+  loops_of : int list array;
+      (** pc -> headers of the loops containing it, in [loops] order
+          (ascending header pc); [[]] outside every loop *)
 }
 
 val build : int Instr.t array -> t
+(** Blocks, successors, functions, dominators and natural loops, all
+    computed once here. *)
 
 val instr_succs : t -> int -> int list
 (** Intraprocedural successor pcs of one instruction (calls fall
@@ -51,11 +61,11 @@ val dominates : t -> int -> int -> bool
     unreachable. *)
 
 val loops : t -> (int * int list) list
-(** Natural loops, as [(header pc, member pcs)] — one entry per back
-    edge target, members merged over all back edges to that header. *)
+(** {!t.loops}: a field read, no recomputation. *)
 
 val in_loop : t -> int -> bool
-(** Whether the pc belongs to any natural loop. *)
+(** Whether the pc belongs to any natural loop: O(1) via
+    {!t.loops_of}; false for a pc outside the program. *)
 
 val reachable_between : t -> src:int -> stop:int -> int list
 (** pcs reachable from [src] (inclusive) along intraprocedural edges

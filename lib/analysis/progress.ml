@@ -272,11 +272,11 @@ type report = {
    once more than the body).  A loop with no static trip count makes
    its members unbounded; the loop header is remembered as the binding
    loop. *)
-let multipliers cfg trip_bounds n =
+let multipliers loops trip_bounds n =
   let mult = Array.make n 1 in
   let binding = Array.make n (-1) in
-  List.iter
-    (fun ((header, pcs), trips) ->
+  List.iter2
+    (fun (header, pcs) trips ->
       match trips with
       | Some t ->
           List.iter
@@ -286,7 +286,7 @@ let multipliers cfg trip_bounds n =
           List.iter
             (fun pc -> if binding.(pc) < 0 then binding.(pc) <- header)
             pcs)
-    (List.map2 (fun l t -> (l, t)) (Cfg.loops cfg) trip_bounds);
+    loops trip_bounds;
   (mult, binding)
 
 (* Worst-case cycles of a whole function (by entry pc), call costs
@@ -363,15 +363,15 @@ let region_raw_wcec cfg mult binding callee_cost pcs =
         | Unbounded _ -> ());
         if mult.(pc) > 1 then begin
           (* attribute the cost to every loop containing this pc so the
-             diagnostic can name the dominant one *)
+             diagnostic can name the dominant one; the insertion order
+             into [heavy] breaks ties between equal loops *)
           List.iter
-            (fun (header, lpcs) ->
-              if List.mem pc lpcs then
-                Hashtbl.replace heavy header
-                  (sat_add
-                     (Option.value ~default:0 (Hashtbl.find_opt heavy header))
-                     c))
-            (Cfg.loops cfg)
+            (fun header ->
+              Hashtbl.replace heavy header
+                (sat_add
+                   (Option.value ~default:0 (Hashtbl.find_opt heavy header))
+                   c))
+            cfg.Cfg.loops_of.(pc)
         end
       end;
       match i with
@@ -412,11 +412,11 @@ let analyze ?(runtime = clank ()) ?budget ?cycle_energy (cfg : Cfg.t) =
       cfg.skims
     |> List.sort_uniq Int.compare
   in
-  let loops = Cfg.loops cfg in
+  let loops = cfg.loops in
   let trip_bounds =
     List.map (loop_trip_bound cfg itv ~skim_target_pcs) loops
   in
-  let mult, binding = multipliers cfg trip_bounds n in
+  let mult, binding = multipliers loops trip_bounds n in
   let callee_cost = func_wcec cfg mult binding in
   let max_instr = Energy.max_instruction_cycles cfg in
   let whole_program =

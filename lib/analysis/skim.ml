@@ -47,7 +47,6 @@ let check (cfg : Cfg.t) regflow ~accesses =
   let n = Array.length cfg.program in
   let diags = ref [] in
   let add d = diags := d :: !diags in
-  let loops = Cfg.loops cfg in
   List.iter
     (fun (pc, target) ->
       if target < 0 || target >= n then
@@ -61,7 +60,7 @@ let check (cfg : Cfg.t) regflow ~accesses =
               would re-run committed work"
              target)
       else begin
-        if List.exists (fun (_, pcs) -> List.mem pc pcs) loops then
+        if Cfg.in_loop cfg pc then
           add
             (Diag.warningf ~pc ~rule:"skim-in-loop"
                "skim is re-latched every loop iteration; each latch \
@@ -85,7 +84,9 @@ let check (cfg : Cfg.t) regflow ~accesses =
         (* A target inside a loop whose body reloads what the skipped
            code stores observes replicas that may never have run. *)
         let target_loops =
-          List.filter (fun (_, pcs) -> List.mem target pcs) loops
+          List.filter
+            (fun (h, _) -> List.mem h cfg.loops_of.(target))
+            cfg.loops
         in
         if target_loops <> [] then begin
           let skipped =

@@ -64,6 +64,103 @@ let test_cfg_loops () =
       Alcotest.(check bool) "in_loop outside" false (Cfg.in_loop cfg 0)
   | l -> Alcotest.failf "expected one loop, got %d" (List.length l)
 
+(* The per-pc loop index against its definition, and the loops
+   themselves against a from-scratch construction: one natural loop
+   per back edge b -> h (h plus every block reaching b without passing
+   h), bodies merged per header, listed by header pc. *)
+let reference_loops (cfg : Cfg.t) =
+  let nb = Array.length cfg.Cfg.blocks in
+  let merged = Hashtbl.create 8 in
+  for b = 0 to nb - 1 do
+    List.iter
+      (fun h ->
+        if Cfg.IntSet.mem h cfg.Cfg.dom.(b) then begin
+          let body = Hashtbl.create 8 in
+          Hashtbl.replace body h ();
+          let rec up x =
+            if not (Hashtbl.mem body x) then begin
+              Hashtbl.replace body x ();
+              List.iter up cfg.Cfg.pred.(x)
+            end
+          in
+          up b;
+          Hashtbl.iter (fun x () -> Hashtbl.replace merged (h, x) ()) body
+        end)
+      cfg.Cfg.succ.(b)
+  done;
+  let headers =
+    Hashtbl.fold (fun (h, _) () acc -> h :: acc) merged []
+    |> List.sort_uniq Int.compare
+  in
+  List.map
+    (fun h ->
+      let pcs = ref [] in
+      for bi = nb - 1 downto 0 do
+        if Hashtbl.mem merged (h, bi) then
+          let blk = cfg.Cfg.blocks.(bi) in
+          for pc = blk.Cfg.last downto blk.Cfg.first do
+            pcs := pc :: !pcs
+          done
+      done;
+      (cfg.Cfg.blocks.(h).Cfg.first, !pcs))
+    headers
+
+let check_loop_index name program =
+  let cfg = Cfg.build program in
+  let loops = Cfg.loops cfg in
+  if loops <> reference_loops cfg then
+    Alcotest.failf "%s: loops differ from the per-back-edge construction" name;
+  Array.iteri
+    (fun pc _ ->
+      let expected =
+        List.filter_map
+          (fun (h, pcs) -> if List.mem pc pcs then Some h else None)
+          loops
+      in
+      if cfg.Cfg.loops_of.(pc) <> expected then
+        Alcotest.failf "%s: loops_of.(%d) = [%s], expected [%s]" name pc
+          (String.concat "; " (List.map string_of_int cfg.Cfg.loops_of.(pc)))
+          (String.concat "; " (List.map string_of_int expected));
+      if Cfg.in_loop cfg pc <> (expected <> []) then
+        Alcotest.failf "%s: in_loop %d disagrees with loops" name pc)
+    program
+
+let test_loop_index_suite () =
+  check_loop_index "diamond" diamond;
+  List.iter
+    (fun (w : Wn_workloads.Workload.t) ->
+      List.iter
+        (fun bits ->
+          List.iter
+            (fun (label, options) ->
+              let source =
+                w.Wn_workloads.Workload.source
+                  { Wn_workloads.Workload.bits; provisioned = true }
+              in
+              let compiled =
+                Wn_compiler.Compile.compile_source ~options source
+              in
+              check_loop_index
+                (Printf.sprintf "%s %s %d-bit" w.Wn_workloads.Workload.name
+                   label bits)
+                compiled.Wn_compiler.Compile.program)
+            [
+              ("anytime", Wn_compiler.Compile.anytime);
+              ("precise", Wn_compiler.Compile.precise);
+            ])
+        [ 4; 8 ])
+    (Wn_workloads.Suite.extended Wn_workloads.Workload.Small)
+
+let prop_loop_index_random =
+  QCheck.Test.make ~count:200 ~name:"loop index matches loop membership"
+    Gen_wnc.arbitrary (fun spec ->
+      let compiled =
+        Wn_compiler.Compile.compile ~options:Wn_compiler.Compile.precise
+          spec.Gen_wnc.program
+      in
+      check_loop_index "random" compiled.Wn_compiler.Compile.program;
+      true)
+
 let test_liveness () =
   let cfg = Cfg.build diamond in
   let rf = Regflow.compute cfg in
@@ -782,6 +879,9 @@ let () =
           Alcotest.test_case "blocks" `Quick test_cfg_blocks;
           Alcotest.test_case "dominators" `Quick test_cfg_dominators;
           Alcotest.test_case "loops" `Quick test_cfg_loops;
+          Alcotest.test_case "loop index over the suite" `Quick
+            test_loop_index_suite;
+          QCheck_alcotest.to_alcotest prop_loop_index_random;
         ] );
       ( "regflow",
         [

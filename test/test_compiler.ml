@@ -537,6 +537,35 @@ let test_compile_metadata () =
   | exception Compile.Error _ -> ()
   | _ -> Alcotest.fail "unknown symbol accepted"
 
+(* ---------------- compile cost ---------------- *)
+
+(* Every compile lints after each pass and ends with the full verifier,
+   forward-progress analysis included; those self-checks must stay
+   linear in program size.  Home at 4-bit anytime is the suite's
+   largest build (about 1.6k instructions, 17 loops): rebuilding the
+   natural loops once per looping pc costs it about 43 M minor words,
+   building them once per CFG about 1.7 M.  Minor words are
+   deterministic for a given binary, so the gate does not depend on
+   host speed. *)
+let test_compile_alloc_home_4bit () =
+  let w = Wn_workloads.Suite.find Wn_workloads.Workload.Small "Home" in
+  let source =
+    w.Wn_workloads.Workload.source
+      { Wn_workloads.Workload.bits = 4; provisioned = true }
+  in
+  let compile () =
+    ignore (Compile.compile_source ~options:Compile.anytime source)
+  in
+  compile ();
+  let w0 = Gc.minor_words () in
+  compile ();
+  let w1 = Gc.minor_words () in
+  let words = w1 -. w0 in
+  if words > 3e6 then
+    Alcotest.failf "compiling Home 4-bit anytime allocated %.2f M minor words \
+                    (gate: 3 M)"
+      (words /. 1e6)
+
 let () =
   Alcotest.run "wn.compiler"
     [
@@ -580,5 +609,10 @@ let () =
         [
           Alcotest.test_case "transform errors" `Quick test_transform_errors;
           Alcotest.test_case "metadata" `Quick test_compile_metadata;
+        ] );
+      ( "compile cost",
+        [
+          Alcotest.test_case "Home 4-bit allocation gate" `Quick
+            test_compile_alloc_home_4bit;
         ] );
     ]
