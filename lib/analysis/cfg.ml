@@ -90,31 +90,22 @@ let natural_loops blocks block_of succ pred dom =
   done;
   (!loops, Array.map (fun bi -> block_loops.(bi)) block_of)
 
-let build program =
+(* Leaders: pc 0, every in-range branch, call and skim target, and the
+   pc after each block-ending instruction.  Blocks run from a leader to
+   the last pc before the next one, or to a block-ending instruction. *)
+let partition program =
   let n = Array.length program in
-  if n = 0 then invalid_arg "Cfg.build: empty program";
-  let calls = ref [] and skims = ref [] and falls_off = ref [] in
+  if n = 0 then invalid_arg "Cfg.partition: empty program";
   let leader = Array.make n false in
   leader.(0) <- true;
   Array.iteri
     (fun pc i ->
       (match i with
-      | Instr.B (_, t) -> if t >= 0 && t < n then leader.(t) <- true
-      | Instr.Bl t ->
-          calls := (pc, t) :: !calls;
-          if t >= 0 && t < n then leader.(t) <- true
-      | Instr.Skm t ->
-          skims := (pc, t) :: !skims;
+      | Instr.B (_, t) | Instr.Bl t | Instr.Skm t ->
           if t >= 0 && t < n then leader.(t) <- true
       | _ -> ());
-      if ends_block i && pc + 1 < n then leader.(pc + 1) <- true;
-      if (not (ends_block i)) && pc + 1 = n then falls_off := pc :: !falls_off;
-      match i with
-      | Instr.B (c, _) when c <> Cond.Al && pc + 1 = n ->
-          falls_off := pc :: !falls_off
-      | _ -> ())
+      if ends_block i && pc + 1 < n then leader.(pc + 1) <- true)
     program;
-  (* Carve blocks. *)
   let blocks = ref [] in
   let start = ref 0 in
   for pc = 0 to n - 1 do
@@ -126,7 +117,25 @@ let build program =
       start := pc + 1
     end
   done;
-  let blocks = Array.of_list (List.rev !blocks) in
+  Array.of_list (List.rev !blocks)
+
+let build program =
+  let n = Array.length program in
+  if n = 0 then invalid_arg "Cfg.build: empty program";
+  let calls = ref [] and skims = ref [] and falls_off = ref [] in
+  Array.iteri
+    (fun pc i ->
+      (match i with
+      | Instr.Bl t -> calls := (pc, t) :: !calls
+      | Instr.Skm t -> skims := (pc, t) :: !skims
+      | _ -> ());
+      if (not (ends_block i)) && pc + 1 = n then falls_off := pc :: !falls_off;
+      match i with
+      | Instr.B (c, _) when c <> Cond.Al && pc + 1 = n ->
+          falls_off := pc :: !falls_off
+      | _ -> ())
+    program;
+  let blocks = partition program in
   let nb = Array.length blocks in
   let block_of = Array.make n 0 in
   Array.iteri

@@ -46,6 +46,12 @@ type t = {
           (ascending header pc); [[]] outside every loop *)
 }
 
+val partition : int Instr.t array -> block array
+(** The basic blocks alone, in address order: the leader pass and block
+    carving {!build} starts from, without successors, functions,
+    dominators or loops.  [(build p).blocks = partition p].  Raises
+    [Invalid_argument] on an empty program. *)
+
 val build : int Instr.t array -> t
 (** Blocks, successors, functions, dominators and natural loops, all
     computed once here. *)

@@ -3,8 +3,8 @@ open Wn_isa
 (* An instruction is fusible when executing it inside a superinstruction
    cannot be observed by anything that acts *between* instructions:
 
-   - it never redirects control (straight-line only), so the block's
-     exit pc is static;
+   - it never redirects control (straight-line only), so the run's
+     exit pc is decided by its last instruction alone;
    - it never writes memory, so a power failure at any interior boundary
      tears nothing (re-execution from the block entry is idempotent and
      the Clank WAR pre-check has nothing to veto);
@@ -40,16 +40,19 @@ type run = {
 
 let min_run_len = 2
 
-(* Maximal fusible sub-runs of each CFG basic block, in address order.
-   Runs never cross a block boundary: every branch target (and skim
-   restore target) is a CFG leader, so any pc an execution can jump to
-   is either a run's first instruction or outside every run — entering
-   a run mid-way is impossible except by falling through from the
-   previous instruction, which is exactly the fused execution order.
-   Single-instruction runs are dropped ([min_run_len]): a length-1
-   superinstruction costs the same as the per-step path it replaces. *)
+(* Maximal fusible sub-runs of each CFG basic block, in address order,
+   each extended by the block's terminating [B] (conditional or not)
+   when the sub-run reaches it.  Runs never cross a block boundary:
+   every branch target (and skim restore target) is a CFG leader, so any
+   pc an execution can jump to is either a run's first instruction or
+   outside every run — entering a run mid-way is impossible except by
+   falling through from the previous instruction, which is exactly the
+   fused execution order.  A branch only ever ends a run, so the exit pc
+   is still decided by the run's last instruction alone, and its worst
+   (taken) latency keeps [r_cycles] the WCEC price.  Single-instruction
+   runs are dropped ([min_run_len]): a length-1 superinstruction costs
+   the same as the per-step path it replaces. *)
 let plan ~memoizable program =
-  let cfg = Cfg.build program in
   let runs = ref [] in
   let emit first last =
     let len = last - first + 1 in
@@ -71,7 +74,12 @@ let plan ~memoizable program =
     (fun (b : Cfg.block) ->
       let start = ref (-1) in
       for pc = b.Cfg.first to b.Cfg.last do
-        if fusible ~memoizable program.(pc) then begin
+        let i = program.(pc) in
+        let joins =
+          fusible ~memoizable i
+          || (pc = b.Cfg.last && match i with Instr.B _ -> true | _ -> false)
+        in
+        if joins then begin
           if !start < 0 then start := pc
         end
         else begin
@@ -80,7 +88,7 @@ let plan ~memoizable program =
         end
       done;
       if !start >= 0 then emit !start b.Cfg.last)
-    cfg.Cfg.blocks;
+    (Cfg.partition program);
   List.rev !runs
 
 type stats = {

@@ -64,17 +64,24 @@ type t = {
   mutable blocks_built : bool;
 }
 
-(* One fused run: straight-line, store-free, [Skm]-free, statically
-   timed (see [Wn_analysis.Fuse]).  [b_code] holds one bare closure per
-   instruction — the architectural effect only, none of the per-step
-   scratch/pc/statistics writes, which [exec_block] batches. *)
+(* One fused run: store-free, [Skm]-free, statically timed interior,
+   optionally ending in its block's [B] (see [Wn_analysis.Fuse]).
+   [b_code] holds one bare closure per instruction — the architectural
+   effect only, none of the per-step scratch/pc/statistics writes, which
+   [exec_block] batches.  A terminating branch's closure is the only one
+   that writes [pcv] and [last_cycles]: the exit pc and the latency it
+   paid, taken or fall-through. *)
 and fused = {
   b_first : int;
   b_len : int;
-  b_cycles : int;  (* total latency: sum of [Instr.worst_cycles], exact *)
+  b_cycles : int;  (* worst-case total: sum of [Instr.worst_cycles] *)
   b_pre_cycles : int;  (* cycles before the last instruction *)
-  b_last_cost : int;
-  b_costs : int array;  (* static per-instruction latency, in order *)
+  b_last_cost : int;  (* worst (taken) latency of the last instruction *)
+  b_branch : bool;  (* the last instruction is a [B] *)
+  b_costs : int array;  (* worst per-instruction latency, in order *)
+  b_fall_costs : int array;
+      (* [b_costs] with the branch priced fall-through; the same array
+         as [b_costs] unless the run ends in a conditional branch *)
   b_loads : int;  (* load instructions in the run *)
   b_wn : int;  (* WN-extension instructions in the run *)
   b_last_is_load : bool;
@@ -561,8 +568,9 @@ let step t =
 (* ---------------- block-compiled execution ---------------- *)
 
 (* Bare closure: the architectural effect of one fused instruction and
-   nothing else.  No [pcv] write (the run's exit pc is static), no
-   [last_*] scratch, no statistics — [exec_block] batches all of those.
+   nothing else.  No [pcv] write (the exit pc is static or set by the
+   run's terminating branch), no [last_*] scratch, no statistics —
+   [exec_block] batches all of those.
    Loads record their effective address into a fixed [blk_reads] slot so
    the executor can replay Clank read-set tracking post-commit.  Only
    instructions [Wn_analysis.Fuse.fusible] accepts reach this compiler;
@@ -647,6 +655,8 @@ let is_load_instr = function
   | Instr.Ldr _ | Instr.Ldr_reg _ -> true
   | _ -> false
 
+let is_branch_instr = function Instr.B _ -> true | _ -> false
+
 let build_blocks t =
   let memoizable = t.memo_table <> None || t.zero_skip in
   let runs = Wn_analysis.Fuse.plan ~memoizable t.program in
@@ -678,9 +688,22 @@ let build_blocks t =
                      access_bytes width
                  | _ -> !read_bytes)
             end;
-            compile_bare ~ring ~slot:s i)
+            (* The predecoded branch closure already writes nothing
+               but [last_cycles] and [pcv]: it is bare as it stands. *)
+            if is_branch_instr i then t.code.(r.r_first + k)
+            else compile_bare ~ring ~slot:s i)
       in
+      let last = t.program.(r.r_first + r.r_len - 1) in
       let last_cost = costs.(r.r_len - 1) in
+      let fall_cost = Instr.cycles ~taken:false last in
+      let fall_costs =
+        if fall_cost = last_cost then costs
+        else begin
+          let c = Array.copy costs in
+          c.(r.r_len - 1) <- fall_cost;
+          c
+        end
+      in
       table.(r.r_first) <-
         Some
           {
@@ -689,10 +712,12 @@ let build_blocks t =
             b_cycles = r.r_cycles;
             b_pre_cycles = r.r_cycles - last_cost;
             b_last_cost = last_cost;
+            b_branch = is_branch_instr last;
             b_costs = costs;
+            b_fall_costs = fall_costs;
             b_loads = r.r_loads;
             b_wn = r.r_wn;
-            b_last_is_load = is_load_instr t.program.(r.r_first + r.r_len - 1);
+            b_last_is_load = is_load_instr last;
             b_read_bytes = !read_bytes;
             b_code = code;
           })
@@ -712,6 +737,13 @@ let block_first b = b.b_first
 let block_cycles b = b.b_cycles
 let block_pre_cycles b = b.b_pre_cycles
 let block_costs b = b.b_costs
+
+(* Only a branch closure writes [last_cycles] inside a run, so right
+   after [exec_block b] it holds the latency the last instruction paid;
+   a fall-through is the only way to pay less than [b_last_cost]. *)
+let block_paid_costs t b =
+  if t.last_cycles = b.b_last_cost then b.b_costs else b.b_fall_costs
+
 let block_loads b = b.b_loads
 let block_wn b = b.b_wn
 let block_read_addr t i = t.blk_reads.(i)
@@ -724,6 +756,9 @@ let budget_covers t n = t.steps_left < 0 || t.steps_left >= n
    bit-identical — architectural state, statistics, step budget and the
    [last_*] scratch — to [b_len] successive [step_fast] calls:
 
+   - a branch-terminated run's last closure has already set the exit pc
+     and the latency it paid; a straight-line run exits at the next pc
+     and its last instruction's static cost.
    - the scratch reflects the run's final instruction, with one
      subtlety inherited from [step_fast]: [last_read_bytes] /
      [last_wrote_bytes] are not reset per step, so they keep the bytes
@@ -739,8 +774,11 @@ let exec_block t b =
   for i = 0 to b.b_len - 1 do
     (Array.unsafe_get code i) t
   done;
+  if not b.b_branch then begin
+    t.pcv <- b.b_first + b.b_len;
+    t.last_cycles <- b.b_last_cost
+  end;
   t.last_pc <- b.b_first + b.b_len - 1;
-  t.last_cycles <- b.b_last_cost;
   t.last_read_addr <-
     (if b.b_last_is_load then Array.unsafe_get t.blk_reads (b.b_loads - 1)
      else -1);
@@ -749,10 +787,9 @@ let exec_block t b =
   t.last_memo_hit <- false;
   t.last_zero_skipped <- false;
   t.last_skm <- false;
-  t.pcv <- b.b_first + b.b_len;
   t.retired <- t.retired + b.b_len;
   t.wn_retired <- t.wn_retired + b.b_wn;
-  t.cycles <- t.cycles + b.b_cycles;
+  t.cycles <- t.cycles + b.b_pre_cycles + t.last_cycles;
   if t.steps_left > 0 then begin
     let r = t.steps_left - b.b_len in
     t.steps_left <- (if r < 0 then 0 else r)

@@ -140,15 +140,18 @@ val budget_exhausted : t -> bool
 (** {2 Block-compiled execution — fused superinstructions}
 
     The machine lazily partitions its predecoded program into maximal
-    fusible runs ({!Wn_analysis.Fuse.plan}: straight-line, no store, no
-    [Skm], no memoizable multiply, statically known latency) and
-    compiles each into a {!fused} superinstruction: one bare closure per
-    instruction carrying only the architectural effect, with the
-    per-step bookkeeping — scratch resets, PC advance, retired/cycle
-    statistics, budget decrement — precomputed and applied once per run
-    by {!exec_block}.  Executing a run is bit-identical to the same
-    number of {!step_fast} calls, including the [last_*] scratch left at
-    the boundary, and allocates nothing.
+    fusible runs ({!Wn_analysis.Fuse.plan}: no store, no [Skm], no
+    memoizable multiply, statically known latency, optionally ending in
+    the basic block's terminating [B]) and compiles each into a
+    {!fused} superinstruction: one bare closure per instruction carrying
+    only the architectural effect, with the per-step bookkeeping —
+    scratch resets, PC advance, retired/cycle statistics, budget
+    decrement — precomputed and applied once per run by {!exec_block}.
+    A terminating branch sets the exit pc itself and the run is charged
+    the latency it actually paid, taken or fall-through.  Executing a
+    run is bit-identical to the same number of {!step_fast} calls,
+    including the [last_*] scratch left at the boundary, and allocates
+    nothing.
 
     Runs never contain a store or a skim latch, so a power failure at
     the run boundary tears nothing a mid-run failure wouldn't; the
@@ -170,17 +173,28 @@ val block_len : fused -> int
 val block_first : fused -> int
 
 val block_cycles : fused -> int
-(** Total latency of the run — the sum of {!worst_case_cycles} over its
-    pc range, exact (not a bound) because fusible instructions have
-    static latency.  This is the run's worst-case energy in cycles, the
-    quantity the executor's entry guard prices against the capacitor. *)
+(** Worst-case latency of the run — the sum of {!worst_case_cycles}
+    over its pc range.  Exact for a straight-line run (fusible
+    instructions have static latency); for a run ending in a
+    conditional branch it prices the branch taken, so the fall-through
+    exit pays one cycle less.  This is the run's worst-case energy in
+    cycles, the quantity the executor's entry guard prices against the
+    capacitor. *)
 
 val block_pre_cycles : fused -> int
 (** [block_cycles] minus the last instruction's latency: the watchdog
     slack needed so no interior boundary can trip a Clank checkpoint. *)
 
 val block_costs : fused -> int array
-(** Per-instruction latency, in order.  Shared, do not mutate. *)
+(** Worst-case per-instruction latency, in order.  Shared, do not
+    mutate. *)
+
+val block_paid_costs : t -> fused -> int array
+(** Per-instruction latency the most recent {!exec_block} of this run
+    actually paid: {!block_costs}, or the fall-through variant when the
+    run's conditional branch was not taken.  The run's paid total is
+    [block_pre_cycles b + last_cycles t].  Valid until the next
+    [step_fast]/[exec_block]; shared, do not mutate. *)
 
 val block_loads : fused -> int
 val block_wn : fused -> int

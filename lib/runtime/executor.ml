@@ -532,7 +532,11 @@ let run ?(policy = Always_on) ?(engine = Fast)
      final boundary (budget exhaustion, watchdog, keyframe, a scripted
      cut landing on the last cycle) fires identically after the batched
      commit.  Any failed conjunct just falls back to per-instruction
-     stepping until the next run entry — bit-identical, merely slower. *)
+     stepping until the next run entry — bit-identical, merely slower.
+     The guard prices a run at its static worst case [c] (a terminating
+     branch taken), which can only be conservative; the commit charges
+     the [paid] cycles — [c] less a conditional branch's untaken
+     saving — exactly as per-step execution would. *)
   let try_block b =
     let n = Machine.block_len b in
     let c = Machine.block_cycles b in
@@ -556,12 +560,16 @@ let run ?(policy = Always_on) ?(engine = Fast)
     && (coalesce || Supply.assured supply ~cycles:c)
     && begin
          Machine.exec_block machine b;
-         active := !active + c;
-         if coalesce then pending := !pending + c
-         else ignore (Supply.consume_run supply ~costs:(Machine.block_costs b));
+         let paid = Machine.block_pre_cycles b + Machine.last_cycles machine in
+         active := !active + paid;
+         if coalesce then pending := !pending + paid
+         else
+           ignore
+             (Supply.consume_run supply
+                ~costs:(Machine.block_paid_costs machine b));
          (match clank with
          | Some (cfg, st) ->
-             st.since_ckpt_cycles <- st.since_ckpt_cycles + c;
+             st.since_ckpt_cycles <- st.since_ckpt_cycles + paid;
              st.since_ckpt_retired <- st.since_ckpt_retired + n;
              (* Replay read tracking from the recorded load addresses, in
                 order — no store ran in between, so the shadow-map
@@ -579,8 +587,8 @@ let run ?(policy = Always_on) ?(engine = Fast)
             entry guard otherwise kept the whole run below it), so this
             replays exactly the per-boundary counter advance. *)
          if !active >= !next_snapshot then begin
-           let costs = Machine.block_costs b in
-           let a = ref (!active - c) in
+           let costs = Machine.block_paid_costs machine b in
+           let a = ref (!active - paid) in
            for i = 0 to n - 1 do
              a := !a + Array.unsafe_get costs i;
              if !a >= !next_snapshot then begin

@@ -43,12 +43,14 @@ type engine = Fast | Block | Compat
 (** Which machine stepping interface drives the loop.  [Fast] (the
     default) uses [Machine.step_fast] and the scratch-field effect
     accessors — no per-instruction allocation.  [Block] additionally
-    executes fused straight-line superinstructions
-    ({!Wn_machine.Machine.exec_block}) whenever one energy-gated entry
+    executes fused superinstructions — store-free runs, each possibly
+    ending in its basic block's branch
+    ({!Wn_machine.Machine.exec_block}) — whenever one energy-gated entry
     guard passes — step budget covers the run length, watchdog slack
     and Clank tracking capacity cover the run, the capacitor's usable
-    charge covers the run's worst-case energy, and no snapshot/keyframe
-    boundary lands inside it — with one batched supply consume and one
+    charge covers the run's worst-case energy (a terminating branch
+    priced taken), and no snapshot/keyframe boundary lands inside it —
+    with one batched supply consume of the cycles actually paid and one
     post-step; any failed guard (or a hook that must observe every
     instruction boundary: [on_step], [on_region], [fast_forward]) falls
     back to per-instruction stepping until the next run entry, so fault

@@ -37,17 +37,18 @@ let to_signed = sign_extend
 
 let of_signed ~bits v = truncate ~bits v
 
+(* A plain loop over a local accumulator: no closure is built per call,
+   so the ADD_ASV/SUB_ASV datapath allocates nothing. *)
 let lanes_map2 ~lane_bits ~width f a b =
   let n = count ~bits:lane_bits ~width in
-  let rec loop pos acc =
-    if pos >= n then acc
-    else
-      let la = extract ~bits:lane_bits ~pos a
-      and lb = extract ~bits:lane_bits ~pos b in
-      let r = truncate ~bits:lane_bits (f la lb) in
-      loop (pos + 1) (insert ~bits:lane_bits ~pos ~into:acc r)
-  in
-  loop 0 0
+  let acc = ref 0 in
+  for pos = 0 to n - 1 do
+    let la = extract ~bits:lane_bits ~pos a
+    and lb = extract ~bits:lane_bits ~pos b in
+    let r = truncate ~bits:lane_bits (f la lb) in
+    acc := insert ~bits:lane_bits ~pos ~into:!acc r
+  done;
+  !acc
 
 let lanes_add ~lane_bits ~width a b = lanes_map2 ~lane_bits ~width ( + ) a b
 let lanes_sub ~lane_bits ~width a b = lanes_map2 ~lane_bits ~width ( - ) a b

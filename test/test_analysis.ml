@@ -806,11 +806,16 @@ let test_suite_clean () =
    worst-case cycle total; forward-progress soundness rests on that
    total being exactly the WCEC model's price for the same pc range.
    Fusible instructions all have statically fixed latency (a multiply
-   is only fusible when it cannot be memoized or zero-skipped), so this
-   is an equality, not a bound. *)
+   is only fusible when it cannot be memoized or zero-skipped), and a
+   run's terminating branch is priced taken — its worst case — by both,
+   so this is an equality, not a bound.  Every interior instruction is
+   fusible; a [B] may only be a run's last instruction, and only where
+   it ends its CFG block. *)
 
 let check_fusion_against_wcec name program =
   let cfg = Cfg.build program in
+  if Cfg.partition program <> cfg.Cfg.blocks then
+    Alcotest.failf "%s: Cfg.partition disagrees with Cfg.build's blocks" name;
   List.iter
     (fun memoizable ->
       let plan = Fuse.plan ~memoizable program in
@@ -822,9 +827,20 @@ let check_fusion_against_wcec name program =
             Alcotest.failf "%s: run at %d shorter than min_run_len" name first;
           let wcec = ref 0 in
           for pc = first to last do
-            if not (Fuse.fusible ~memoizable program.(pc)) then
-              Alcotest.failf "%s: non-fusible instruction inside run at %d"
-                name pc;
+            (match program.(pc) with
+            | Instr.B _ ->
+                (* A branch may only end a run, and only as its CFG
+                   block's terminator. *)
+                if pc <> last then
+                  Alcotest.failf "%s: branch at %d inside run at %d" name pc
+                    first;
+                if (cfg.Cfg.blocks.(cfg.Cfg.block_of.(pc))).Cfg.last <> pc then
+                  Alcotest.failf "%s: run at %d ends in a branch at %d that \
+                                  does not end its block" name first pc
+            | i ->
+                if not (Fuse.fusible ~memoizable i) then
+                  Alcotest.failf "%s: non-fusible instruction inside run at %d"
+                    name pc);
             wcec := !wcec + Energy.worst_cycles program.(pc)
           done;
           if !wcec <> r.Fuse.r_cycles then

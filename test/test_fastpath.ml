@@ -315,10 +315,146 @@ let coalescing_regression wname () =
   if o_f.Executor.active_cycles <> o_b.Executor.active_cycles then
     Alcotest.failf "%s: active cycles differ" wname
 
+(* ---------------- branch-terminated runs ----------------
+
+   A counted loop whose header is a compare-and-branch: the header is a
+   two-instruction fused run ending in [B.ge], taken once (loop exit)
+   and untaken on every iteration (fall into the body); the body is a
+   run ending in an unconditional [B] back to the header. *)
+
+let loop_iterations = 50
+
+let counted_loop_program =
+  Asm.assemble_exn
+    [
+      Asm.I (Instr.Mov_imm (Reg.r 0, 0));
+      Asm.I (Instr.Mov_imm (Reg.r 1, loop_iterations));
+      Asm.Label "head";
+      Asm.I (Instr.Cmp (Reg.r 0, Reg.r 1));
+      Asm.I (Instr.B (Cond.Ge, "done"));
+      Asm.I (Instr.Alu (Instr.Add, Reg.r 2, Reg.r 2, Reg.r 0));
+      Asm.I (Instr.Alu_imm (Instr.Add, Reg.r 0, Reg.r 0, 1));
+      Asm.I (Instr.B (Cond.Al, "head"));
+      Asm.Label "done";
+      Asm.I Instr.Halt;
+    ]
+
+let loop_head_pc = 2
+
+(* [exec_block] on each run against the same number of [step_fast]
+   calls: registers, flags, pc, retired and cycle counts, [last_cycles]
+   and the step budget agree after every dispatch, on the header's
+   taken and fall-through exits alike, and the paid per-instruction
+   costs sum to the cycles the run charged. *)
+let test_branch_run_exits () =
+  let mk () =
+    let mem = Wn_mem.Memory.create ~size:64 in
+    let m = Machine.create ~program:counted_loop_program ~mem () in
+    Machine.set_step_budget m (Some 100_000);
+    m
+  in
+  let m_blk = mk () and m_fast = mk () in
+  (match Machine.block_at m_blk loop_head_pc with
+  | Some b when Machine.block_len b = 2 -> ()
+  | _ -> Alcotest.fail "loop header is not a two-instruction fused run");
+  let taken = ref 0 and fall = ref 0 in
+  while not (Machine.halted m_blk) do
+    let pc = Machine.pc m_blk in
+    let name = Printf.sprintf "dispatch at pc %d" pc in
+    (match Machine.block_at m_blk pc with
+    | Some b ->
+        let cycles0 = Machine.cycles_executed m_blk in
+        Machine.exec_block m_blk b;
+        for _ = 1 to Machine.block_len b do
+          Machine.step_fast m_fast
+        done;
+        let paid = Array.fold_left ( + ) 0 (Machine.block_paid_costs m_blk b) in
+        if Machine.cycles_executed m_blk - cycles0 <> paid then
+          Alcotest.failf "%s: charged %d cycles, paid costs sum to %d" name
+            (Machine.cycles_executed m_blk - cycles0)
+            paid;
+        if pc = loop_head_pc then
+          if Machine.pc m_blk = pc + Machine.block_len b then incr fall
+          else incr taken
+    | None ->
+        Machine.step_fast m_blk;
+        Machine.step_fast m_fast);
+    check_machines_equal name m_fast m_blk;
+    if Machine.last_cycles m_fast <> Machine.last_cycles m_blk then
+      Alcotest.failf "%s: last_cycles %d vs %d" name
+        (Machine.last_cycles m_fast) (Machine.last_cycles m_blk);
+    if Machine.last_pc m_fast <> Machine.last_pc m_blk then
+      Alcotest.failf "%s: last_pc %d vs %d" name (Machine.last_pc m_fast)
+        (Machine.last_pc m_blk);
+    if Machine.step_budget m_fast <> Machine.step_budget m_blk then
+      Alcotest.failf "%s: step budgets differ" name
+  done;
+  Alcotest.(check int) "header exits taken" 1 !taken;
+  Alcotest.(check int) "header exits fallen through" loop_iterations !fall;
+  Alcotest.(check int) "r2 = sum of 0..n-1"
+    (loop_iterations * (loop_iterations - 1) / 2)
+    (Machine.reg m_blk (Reg.r 2))
+
+(* Executor: Block must equal Fast on a capacitor supply with a snapshot
+   hook installed whose thresholds land inside branch-terminated runs.
+   The entry guard prices a run at its worst (taken) cost and falls
+   back to per-step execution wherever a threshold could be crossed
+   mid-run, so the hook fires at the same boundaries with the same
+   counters under both engines. *)
+let branch_runs_with_snapshots (pname, policy) () =
+  let w = Suite.find Workload.Small "Var" in
+  let b = Wn_core.Runner.build w wcfg in
+  let inputs = w.Workload.fresh_inputs (Wn_util.Rng.create 17) in
+  let run engine =
+    let m = Wn_core.Runner.machine b in
+    Wn_core.Runner.load_sample b m inputs;
+    let trace =
+      Wn_power.Trace.square ~on_ms:3 ~off_ms:30 ~power:2e-3 ~duration_s:4.0
+    in
+    let supply =
+      Wn_power.Supply.create ~trace ~capacitor:(Wn_power.Capacitor.create ()) ()
+    in
+    let fired = ref [] in
+    let snapshot ~active_cycles ~wall_cycles =
+      fired := (active_cycles, wall_cycles, Machine.last_pc m) :: !fired
+    in
+    let o =
+      Executor.run ~policy ~engine ~snapshot_every:9 ~snapshot ~machine:m
+        ~supply ()
+    in
+    ((o, Wn_mem.Memory.snapshot (Machine.mem m)), List.rev !fired, m)
+  in
+  let fast, fired_fast, m = run Executor.Fast in
+  let block, fired_block, _ = run Executor.Block in
+  let name = Printf.sprintf "Var/%s/snapshot-every-9" pname in
+  check_outcomes_equal name block fast;
+  if fired_fast <> fired_block then
+    Alcotest.failf "%s: snapshot hook fired differently (%d vs %d calls)" name
+      (List.length fired_fast) (List.length fired_block);
+  (* The thresholds must actually have fallen inside some
+     branch-terminated run: at a boundary after one of its interior
+     instructions. *)
+  let program = Machine.program m in
+  let interior = Array.make (Array.length program) false in
+  List.iter
+    (fun (r : Wn_analysis.Fuse.run) ->
+      let open Wn_analysis.Fuse in
+      match program.(r.r_first + r.r_len - 1) with
+      | Instr.B _ ->
+          for pc = r.r_first to r.r_first + r.r_len - 2 do
+            interior.(pc) <- true
+          done
+      | _ -> ())
+    (Wn_analysis.Fuse.plan ~memoizable:false program);
+  if not (List.exists (fun (_, _, pc) -> pc >= 0 && interior.(pc)) fired_fast)
+  then
+    Alcotest.failf "%s: no snapshot threshold fell inside a branch-terminated run"
+      name
+
 (* ---------------- zero allocation ---------------- *)
 
-(* ALU / load / store / branch / multiply / SKM steady-state loop that
-   cannot halt within the measured window. *)
+(* ALU / load / store / branch / multiply / SKM / subword-vector
+   steady-state loop that cannot halt within the measured window. *)
 let alloc_probe_program =
   Asm.assemble_exn
     [
@@ -333,6 +469,8 @@ let alloc_probe_program =
       Asm.I (Instr.Str { width = Instr.Word; rs = Reg.r 3; base = Reg.r 0; off = 0 });
       Asm.I (Instr.Mul (Reg.r 4, Reg.r 3, Reg.r 1));
       Asm.I (Instr.Skm "done");
+      Asm.I (Instr.Add_asv (8, Reg.r 5, Reg.r 5, Reg.r 3));
+      Asm.I (Instr.Sub_asv (4, Reg.r 6, Reg.r 6, Reg.r 5));
       Asm.I (Instr.Alu (Instr.Sub, Reg.r 2, Reg.r 2, Reg.r 1));
       Asm.I (Instr.Cmp_imm (Reg.r 2, 0));
       Asm.I (Instr.B (Cond.Ne, "loop"));
@@ -487,6 +625,15 @@ let () =
         [ Alcotest.test_case "record identical" `Quick test_step_wrapper ] );
       ("executor engines", executor_cases);
       ("always-on coalescing", coalescing_cases);
+      ( "branch runs",
+        Alcotest.test_case "taken and fall-through exits" `Quick
+          test_branch_run_exits
+        :: List.map
+             (fun p ->
+               Alcotest.test_case
+                 (Printf.sprintf "snapshot inside run, %s" (fst p))
+                 `Quick (branch_runs_with_snapshots p))
+             policies );
       ( "allocation",
         [
           Alcotest.test_case "step_fast allocation-free" `Quick
